@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet vet-analyzers build test race conformance lint cover fuzz-smoke bench-quick bench-serve bench-load trace-demo serve-smoke serve-smoke-faults serve-smoke-warm serve-smoke-defrag serve-smoke-fleet serve-smoke-trace
+.PHONY: check fmt vet vet-analyzers build test race conformance lint cover fuzz-smoke bench-quick bench-serve bench-load bench-flow trace-demo serve-smoke serve-smoke-faults serve-smoke-warm serve-smoke-defrag serve-smoke-fleet serve-smoke-trace
 
 check: fmt vet vet-analyzers build race conformance test lint cover fuzz-smoke bench-quick bench-serve bench-load serve-smoke serve-smoke-faults serve-smoke-warm serve-smoke-defrag serve-smoke-fleet serve-smoke-trace
 
@@ -92,6 +92,13 @@ bench-load:
 	if [ "$$met" -eq 1 ] && [ "$$sat" -eq 1 ]; then \
 		echo "load bench: SLO held at recorded speed; saturation point is interior"; \
 	else echo "load bench: degenerate saturation point"; exit 1; fi
+
+# The compile-flow micro-benchmarks with allocation counts, five runs
+# each so run-to-run noise is visible. Not part of check: ns/op depends
+# on the machine; the allocation gates live in the tests.
+bench-flow:
+	$(GO) test -run '^$$' -bench '^BenchmarkPlaceAdder16$$' -benchmem -count 5 ./internal/place/
+	$(GO) test -run '^$$' -bench '^BenchmarkFlow(PlaceALU8|RouteALU8|RouteDiv16|CompileStripCounter16)$$' -benchmem -count 5 .
 
 # Render a merged scheduler+device timeline from the time-sharing example.
 trace-demo:

@@ -122,6 +122,7 @@ func BenchmarkFlowPlaceALU8(b *testing.B) {
 		b.Fatal(err)
 	}
 	w, h := place.Shape(m.NumCells())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := place.Place(m, w, h, place.Options{Seed: uint64(i)}); err != nil {
@@ -140,6 +141,7 @@ func BenchmarkFlowRouteALU8(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := route.Route(p, 12, route.Options{}); err != nil {
@@ -148,9 +150,28 @@ func BenchmarkFlowRouteALU8(b *testing.B) {
 	}
 }
 
+// BenchmarkFlowRouteDiv16 routes the heaviest strip compile a default
+// vfpgad board issues: div16 as a 16-row strip at seed 1, about 2800
+// connections negotiated over six rounds.
+func BenchmarkFlowRouteDiv16(b *testing.B) {
+	tm := fabric.DefaultTiming()
+	c, err := compile.CompileStrip(netlist.Divider(16), 16, 12, compile.Options{Seed: 1, Timing: &tm})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := route.Route(c.Placed, 12, route.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkFlowCompileStripCounter16(b *testing.B) {
 	nl := netlist.Counter(16)
 	tm := fabric.DefaultTiming()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := compile.CompileStrip(nl, 16, 12, compile.Options{Seed: uint64(i), Timing: &tm}); err != nil {

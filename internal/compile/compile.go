@@ -81,6 +81,30 @@ func (c *Circuit) String() string {
 
 // Compile runs the full flow on nl.
 func Compile(nl *netlist.Netlist, opt Options) (*Circuit, error) {
+	m, err := mapNetlist(nl, opt)
+	if err != nil {
+		return nil, err
+	}
+	return compileMapped(nl, m, opt)
+}
+
+// mapNetlist runs the logic optimizer, unless opt disables it, and the
+// technology mapper.
+func mapNetlist(nl *netlist.Netlist, opt Options) (*techmap.Mapped, error) {
+	src := nl
+	if !opt.DisableOpt {
+		src = netlist.Optimize(nl)
+	}
+	m, err := techmap.Map(src)
+	if err != nil {
+		return nil, fmt.Errorf("compile %s: %w", nl.Name, err)
+	}
+	return m, nil
+}
+
+// compileMapped places, routes and generates the bitstream for m, the
+// mapped form of nl, growing the region per opt until the design routes.
+func compileMapped(nl *netlist.Netlist, m *techmap.Mapped, opt Options) (*Circuit, error) {
 	timing := fabric.DefaultTiming()
 	if opt.Timing != nil {
 		timing = *opt.Timing
@@ -92,15 +116,6 @@ func Compile(nl *netlist.Netlist, opt Options) (*Circuit, error) {
 	maxGrowth := opt.MaxGrowth
 	if maxGrowth <= 0 {
 		maxGrowth = 6
-	}
-
-	src := nl
-	if !opt.DisableOpt {
-		src = netlist.Optimize(nl)
-	}
-	m, err := techmap.Map(src)
-	if err != nil {
-		return nil, fmt.Errorf("compile %s: %w", nl.Name, err)
 	}
 
 	w, h := opt.W, opt.H
@@ -171,29 +186,31 @@ func MustCompile(nl *netlist.Netlist, opt Options) *Circuit {
 }
 
 // CompileStrip compiles nl into a full-height column strip of the given
-// row count, growing the width until the design routes. Column strips are
+// row count, routed against tracks tracks per channel, growing the width
+// until the design routes. The netlist is optimized and mapped once, not
+// once per width. Column strips are
 // the allocation unit of the VFPGA managers: partitioning, overlaying and
 // garbage collection all deal in contiguous column ranges, the direct
 // analogue of the paper's memory-style partitions.
 func CompileStrip(nl *netlist.Netlist, rows, tracks int, opt Options) (*Circuit, error) {
-	src := nl
-	if !opt.DisableOpt {
-		src = netlist.Optimize(nl)
+	if rows <= 0 || tracks <= 0 {
+		return nil, fmt.Errorf("compile %s: strip needs positive rows and tracks, got %d and %d",
+			nl.Name, rows, tracks)
 	}
-	m, err := techmap.Map(src)
+	m, err := mapNetlist(nl, opt)
 	if err != nil {
-		return nil, fmt.Errorf("compile %s: %w", nl.Name, err)
+		return nil, err
 	}
 	cells := m.NumCells()
 	minW := (cells + cells/8 + rows - 1) / rows
 	if minW < 1 {
 		minW = 1
 	}
+	opt.H, opt.Tracks = rows, tracks
 	var lastErr error
 	for w := minW; w <= minW+8; w++ {
-		opt := opt
-		opt.W, opt.H = w, rows
-		c, err := Compile(nl, opt)
+		opt.W = w
+		c, err := compileMapped(nl, m, opt)
 		if err == nil {
 			return c, nil
 		}

@@ -265,6 +265,25 @@ func TestPinnedShapeNoGrowth(t *testing.T) {
 	}
 }
 
+// TestCompileStripTracks checks that a strip is routed against the
+// channel capacity asked for, not the default geometry's, and that a
+// degenerate shape is an error.
+func TestCompileStripTracks(t *testing.T) {
+	nl := netlist.Counter(4)
+	c, err := CompileStrip(nl, 8, 4, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Routed.Tracks != 4 || c.Routed.MaxUse > 4 {
+		t.Fatalf("strip routed against %d tracks (max use %d), want 4", c.Routed.Tracks, c.Routed.MaxUse)
+	}
+	for _, shape := range [][2]int{{0, 12}, {-1, 12}, {8, 0}, {8, -3}} {
+		if _, err := CompileStrip(nl, shape[0], shape[1], Options{Seed: 1}); err == nil {
+			t.Fatalf("CompileStrip(rows %d, tracks %d) accepted", shape[0], shape[1])
+		}
+	}
+}
+
 func TestConfigCostSane(t *testing.T) {
 	c := MustCompile(netlist.Adder(16), Options{Seed: 1})
 	tm := fabric.DefaultTiming()

@@ -67,20 +67,44 @@ func Shape(cells int) (w, h int) {
 // net is a source position index plus sink position indices into the
 // placer's combined position table.
 type net struct {
-	pins []int // indices into pos; pins[0] is the source
+	pins []int32 // indices into pos; pins[0] is the source
 }
 
-// placer state: positions 0..numCells-1 are movable cells; the rest are
-// fixed port positions.
+// placer state. pos is the combined position table: [0, nCells) are the
+// movable cells, then the fixed input ports, then the fixed output ports.
 type placer struct {
-	m        *techmap.Mapped
-	w, h     int
-	cellLoc  []Loc
-	inPorts  []Loc
-	outPorts []Loc
-	nets     []net
-	netsAt   [][]int // nets touching each cell
-	src      *rng.Source
+	m      *techmap.Mapped
+	w, h   int
+	nCells int
+	pos    []Loc
+	nets   []net
+	netsAt [][]int32 // nets touching each cell
+	src    *rng.Source
+
+	// Annealing state. grid is the dense occupancy map (cell index at
+	// y*w+x, -1 when free); netCost caches each net's current HPWL. A
+	// move gathers the nets it touches into touched, generation-stamped
+	// in mark so a net shared by both moved cells counts once, and
+	// computes their post-move HPWL into newCost; the cache takes the
+	// new values only when the move is accepted.
+	grid    []int32
+	netCost []int
+	mark    []uint32
+	gen     uint32
+	touched []int32
+	newCost []int
+}
+
+// newPlacer seeds ports and cells and builds the nets of m in a w x h
+// region.
+func newPlacer(m *techmap.Mapped, w, h int) *placer {
+	n := m.NumCells()
+	p := &placer{m: m, w: w, h: h, nCells: n,
+		pos: make([]Loc, n+m.NumInputs+len(m.Outputs))}
+	p.seedCells()
+	p.seedPorts()
+	p.buildNets()
+	return p
 }
 
 // Place places m into a w x h region. It returns an error if the region
@@ -90,32 +114,38 @@ func Place(m *techmap.Mapped, w, h int, opt Options) (*Placement, error) {
 		return nil, fmt.Errorf("place: %s needs %d cells, region %dx%d has %d",
 			m.Name, m.NumCells(), w, h, w*h)
 	}
-	p := &placer{m: m, w: w, h: h, src: rng.New(opt.Seed ^ 0x9e3779b97f4a7c15)}
-	p.seedPorts()
-	p.seedCells()
-	p.buildNets()
+	p := newPlacer(m, w, h)
+	p.src = rng.New(opt.Seed ^ 0x9e3779b97f4a7c15)
 	effort := opt.Effort
 	if effort <= 0 {
 		effort = 1
 	}
 	p.anneal(effort)
-	res := &Placement{
-		Mapped:   m,
-		W:        w,
-		H:        h,
-		Cells:    p.cellLoc,
-		InPorts:  p.inPorts,
-		OutPorts: p.outPorts,
-	}
+	res := p.placement()
 	res.Wirelength = res.TotalWirelength()
 	return res, nil
+}
+
+// placement views the position table as a Placement. The three slices
+// share pos; their capacities are capped so an append to one cannot
+// overwrite another.
+func (p *placer) placement() *Placement {
+	n, in := p.nCells, p.nCells+p.m.NumInputs
+	return &Placement{
+		Mapped:   p.m,
+		W:        p.w,
+		H:        p.h,
+		Cells:    p.pos[:n:n],
+		InPorts:  p.pos[n:in:in],
+		OutPorts: p.pos[in:],
+	}
 }
 
 // seedPorts distributes input ports along the left edge and output ports
 // along the right edge.
 func (p *placer) seedPorts() {
-	spread := func(n, edgeX int) []Loc {
-		locs := make([]Loc, n)
+	spread := func(locs []Loc, edgeX int) {
+		n := len(locs)
 		for i := range locs {
 			y := 0
 			if n > 1 {
@@ -123,46 +153,31 @@ func (p *placer) seedPorts() {
 			}
 			locs[i] = Loc{X: edgeX, Y: y}
 		}
-		return locs
 	}
-	p.inPorts = spread(p.m.NumInputs, 0)
-	p.outPorts = spread(len(p.m.Outputs), p.w-1)
+	in := p.nCells + p.m.NumInputs
+	spread(p.pos[p.nCells:in], 0)
+	spread(p.pos[in:], p.w-1)
 }
 
 // seedCells assigns initial locations in scan order, which keeps
 // topologically adjacent cells physically adjacent (cells are created in
 // topological-ish order by the mapper).
 func (p *placer) seedCells() {
-	p.cellLoc = make([]Loc, p.m.NumCells())
-	for i := range p.cellLoc {
-		p.cellLoc[i] = Loc{X: i % p.w, Y: i / p.w}
+	for i := 0; i < p.nCells; i++ {
+		p.pos[i] = Loc{X: i % p.w, Y: i / p.w}
 	}
-}
-
-// position returns the current location of a combined position index:
-// [0, numCells) are cells, then input ports, then output ports.
-func (p *placer) position(idx int) Loc {
-	n := p.m.NumCells()
-	if idx < n {
-		return p.cellLoc[idx]
-	}
-	idx -= n
-	if idx < len(p.inPorts) {
-		return p.inPorts[idx]
-	}
-	return p.outPorts[idx-len(p.inPorts)]
 }
 
 // buildNets creates one net per driving signal.
 func (p *placer) buildNets() {
-	n := p.m.NumCells()
-	bySource := map[int][]int{} // source position index -> sink position indices
+	n := p.nCells
+	bySource := make([][]int32, n+p.m.NumInputs) // source position index -> sink position indices
 	addSink := func(sig techmap.Signal, sinkIdx int) {
 		switch sig.Kind {
 		case techmap.SigCell:
-			bySource[int(sig.Cell)] = append(bySource[int(sig.Cell)], sinkIdx)
+			bySource[sig.Cell] = append(bySource[sig.Cell], int32(sinkIdx))
 		case techmap.SigInput:
-			bySource[n+sig.Input] = append(bySource[n+sig.Input], sinkIdx)
+			bySource[n+sig.Input] = append(bySource[n+sig.Input], int32(sinkIdx))
 		}
 	}
 	for ci := range p.m.Cells {
@@ -173,18 +188,17 @@ func (p *placer) buildNets() {
 	for oi, sig := range p.m.Outputs {
 		addSink(sig, n+p.m.NumInputs+oi)
 	}
-	p.netsAt = make([][]int, n)
+	p.netsAt = make([][]int32, n)
 	// Deterministic net order: iterate sources in index order.
-	for srcIdx := 0; srcIdx < n+p.m.NumInputs; srcIdx++ {
-		sinks, ok := bySource[srcIdx]
-		if !ok {
+	for srcIdx, sinks := range bySource {
+		if len(sinks) == 0 {
 			continue
 		}
-		pins := append([]int{srcIdx}, sinks...)
-		netID := len(p.nets)
+		pins := append([]int32{int32(srcIdx)}, sinks...)
+		netID := int32(len(p.nets))
 		p.nets = append(p.nets, net{pins: pins})
 		for _, pin := range pins {
-			if pin < n {
+			if int(pin) < n {
 				p.netsAt[pin] = append(p.netsAt[pin], netID)
 			}
 		}
@@ -196,7 +210,7 @@ func (p *placer) hpwl(nt *net) int {
 	minX, minY := math.MaxInt32, math.MaxInt32
 	maxX, maxY := -1, -1
 	for _, pin := range nt.pins {
-		l := p.position(pin)
+		l := p.pos[pin]
 		if l.X < minX {
 			minX = l.X
 		}
@@ -213,70 +227,97 @@ func (p *placer) hpwl(nt *net) int {
 	return (maxX - minX) + (maxY - minY)
 }
 
-// costAround sums the wirelength of all nets touching the given cells.
-func (p *placer) costAround(cells ...int) int {
-	seen := map[int]bool{}
+// startMove clears the touched-net set for a new move.
+func (p *placer) startMove() {
+	p.touched = p.touched[:0]
+	p.gen++
+	if p.gen == 0 { // wrapped: stale stamps could collide, so clear
+		clear(p.mark)
+		p.gen = 1
+	}
+}
+
+// touch adds the nets of cell c not yet in the move's set and returns
+// the sum of their cached wirelength.
+func (p *placer) touch(c int) int {
 	total := 0
-	for _, c := range cells {
-		if c < 0 || c >= len(p.netsAt) {
-			continue
-		}
-		for _, nid := range p.netsAt[c] {
-			if !seen[nid] {
-				seen[nid] = true
-				total += p.hpwl(&p.nets[nid])
-			}
+	for _, nid := range p.netsAt[c] {
+		if p.mark[nid] != p.gen {
+			p.mark[nid] = p.gen
+			p.touched = append(p.touched, nid)
+			total += p.netCost[nid]
 		}
 	}
 	return total
 }
 
+// moveCost recomputes the wirelength of the move's nets at the current
+// positions into newCost and returns their sum.
+func (p *placer) moveCost() int {
+	p.newCost = p.newCost[:0]
+	total := 0
+	for _, nid := range p.touched {
+		c := p.hpwl(&p.nets[nid])
+		p.newCost = append(p.newCost, c)
+		total += c
+	}
+	return total
+}
+
+// commitMove stores the move's recomputed wirelength in the cache.
+func (p *placer) commitMove() {
+	for k, nid := range p.touched {
+		p.netCost[nid] = p.newCost[k]
+	}
+}
+
 // anneal runs simulated annealing with swap and relocate moves.
 func (p *placer) anneal(effort int) {
-	nCells := p.m.NumCells()
+	nCells := p.nCells
 	if nCells <= 1 || len(p.nets) == 0 {
 		return
 	}
-	occupied := make(map[Loc]int, nCells) // loc -> cell index
-	for i, l := range p.cellLoc {
-		occupied[l] = i
+	p.grid = make([]int32, p.w*p.h)
+	for i := range p.grid {
+		p.grid[i] = -1
 	}
+	for i, l := range p.pos[:nCells] {
+		p.grid[l.Y*p.w+l.X] = int32(i)
+	}
+	p.netCost = make([]int, len(p.nets))
+	for i := range p.nets {
+		p.netCost[i] = p.hpwl(&p.nets[i])
+	}
+	p.mark = make([]uint32, len(p.nets))
 	iters := effort * 160 * nCells
 	temp := float64(p.w + p.h)
 	cooling := math.Pow(0.005/temp, 1/float64(iters+1))
 	for it := 0; it < iters; it++ {
 		ci := p.src.Intn(nCells)
 		target := Loc{X: p.src.Intn(p.w), Y: p.src.Intn(p.h)}
-		cj, swap := occupied[target]
-		if swap && cj == ci {
+		cell := target.Y*p.w + target.X
+		cj := int(p.grid[cell]) // -1 when target is free
+		if cj == ci {
 			temp *= cooling
 			continue
 		}
-		var before, after int
-		if swap {
-			before = p.costAround(ci, cj)
-			p.cellLoc[ci], p.cellLoc[cj] = p.cellLoc[cj], p.cellLoc[ci]
-			after = p.costAround(ci, cj)
+		p.startMove()
+		before := p.touch(ci)
+		old := p.pos[ci]
+		if cj >= 0 {
+			before += p.touch(cj)
+			p.pos[cj] = old
+		}
+		p.pos[ci] = target
+		if accept(before, p.moveCost(), temp, p.src) {
+			p.commitMove()
+			p.grid[cell] = int32(ci)
+			p.grid[old.Y*p.w+old.X] = int32(cj)
 		} else {
-			before = p.costAround(ci)
-			old := p.cellLoc[ci]
-			p.cellLoc[ci] = target
-			after = p.costAround(ci)
-			if accept(before, after, temp, p.src) {
-				delete(occupied, old)
-				occupied[target] = ci
-				temp *= cooling
-				continue
+			p.pos[ci] = old
+			if cj >= 0 {
+				p.pos[cj] = target
 			}
-			p.cellLoc[ci] = old
-			temp *= cooling
-			continue
-		}
-		if accept(before, after, temp, p.src) {
-			occupied[p.cellLoc[ci]] = ci
-			occupied[p.cellLoc[cj]] = cj
-		} else {
-			p.cellLoc[ci], p.cellLoc[cj] = p.cellLoc[cj], p.cellLoc[ci]
 		}
 		temp *= cooling
 	}
@@ -292,7 +333,9 @@ func accept(before, after int, temp float64, src *rng.Source) bool {
 // TotalWirelength recomputes the HPWL of the placement (exposed for tests
 // and reports).
 func (pl *Placement) TotalWirelength() int {
-	p := &placer{m: pl.Mapped, w: pl.W, h: pl.H, cellLoc: pl.Cells, inPorts: pl.InPorts, outPorts: pl.OutPorts}
+	p := &placer{m: pl.Mapped, w: pl.W, h: pl.H, nCells: len(pl.Cells)}
+	p.pos = make([]Loc, 0, len(pl.Cells)+len(pl.InPorts)+len(pl.OutPorts))
+	p.pos = append(append(append(p.pos, pl.Cells...), pl.InPorts...), pl.OutPorts...)
 	p.buildNets()
 	total := 0
 	for i := range p.nets {

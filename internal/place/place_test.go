@@ -78,17 +78,8 @@ func TestPlaceDeterministic(t *testing.T) {
 func TestAnnealingImprovesOverScanOrder(t *testing.T) {
 	m := mustMap(t, netlist.Multiplier(6))
 	w, h := Shape(m.NumCells())
-	// Scan-order-only baseline: effort so tiny annealing barely runs is
-	// not expressible, so construct the seed placement by hand.
-	seed := &Placement{Mapped: m, W: w, H: h}
-	seed.Cells = make([]Loc, m.NumCells())
-	for i := range seed.Cells {
-		seed.Cells[i] = Loc{X: i % w, Y: i / w}
-	}
-	p := &placer{m: m, w: w, h: h}
-	p.seedPorts()
-	seed.InPorts, seed.OutPorts = p.inPorts, p.outPorts
-	base := seed.TotalWirelength()
+	// Scan-order-only baseline: the placer's seed state before annealing.
+	base := newPlacer(m, w, h).placement().TotalWirelength()
 
 	annealed, err := Place(m, w, h, Options{Seed: 3})
 	if err != nil {
@@ -113,6 +104,25 @@ func TestHigherEffortNotWorse(t *testing.T) {
 	// Annealing is stochastic; allow a small regression margin.
 	if float64(high.Wirelength) > 1.15*float64(low.Wirelength) {
 		t.Fatalf("effort 4 WL %d much worse than effort 1 WL %d", high.Wirelength, low.Wirelength)
+	}
+}
+
+// TestAnnealAllocatesNothingPerMove gates the annealer's hot loop: all
+// of its state is sized before the first move, so quadrupling the moves
+// must not change the allocation count. alu8 has cells on more nets than
+// a small map keeps on the stack, so a per-move set would show here.
+func TestAnnealAllocatesNothingPerMove(t *testing.T) {
+	m := mustMap(t, netlist.ALU(8))
+	w, h := Shape(m.NumCells())
+	allocs := func(effort int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Place(m, w, h, Options{Seed: 1, Effort: effort}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if lo, hi := allocs(1), allocs(4); lo != hi {
+		t.Fatalf("Place allocates %v times at effort 1 and %v at effort 4", lo, hi)
 	}
 }
 
@@ -173,6 +183,7 @@ func BenchmarkPlaceAdder16(b *testing.B) {
 		b.Fatal(err)
 	}
 	w, h := Shape(m.NumCells())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Place(m, w, h, Options{Seed: uint64(i)}); err != nil {

@@ -12,6 +12,8 @@ package route
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/place"
 	"repro/internal/sim"
@@ -58,21 +60,46 @@ type Options struct {
 // (x,y+1).
 type edgeID int
 
+// grid is the channel graph of a w x h region. adj caches, per node, its
+// orthogonal neighbors and the edges to them in neighbors() order, so the
+// search's inner loop does no index arithmetic.
 type grid struct {
 	w, h int
+	adj  [][4]arc
 }
 
-func (g grid) nodes() int { return g.w * g.h }
-func (g grid) node(l place.Loc) int {
+// arc is one entry of a node's adjacency row; to < 0 ends the row.
+type arc struct {
+	to   int32
+	edge int32
+}
+
+func newGrid(w, h int) *grid {
+	g := &grid{w: w, h: h, adj: make([][4]arc, w*h)}
+	var nbuf [4]int
+	for n := range g.adj {
+		row := &g.adj[n]
+		for k := range row {
+			row[k] = arc{to: -1}
+		}
+		for k, nb := range g.neighbors(n, nbuf[:0]) {
+			row[k] = arc{to: int32(nb), edge: int32(g.edgeBetween(n, nb))}
+		}
+	}
+	return g
+}
+
+func (g *grid) nodes() int { return g.w * g.h }
+func (g *grid) node(l place.Loc) int {
 	return l.Y*g.w + l.X
 }
-func (g grid) loc(n int) place.Loc { return place.Loc{X: n % g.w, Y: n / g.w} }
+func (g *grid) loc(n int) place.Loc { return place.Loc{X: n % g.w, Y: n / g.w} }
 
 // hEdges are indexed first, then vEdges.
-func (g grid) numEdges() int { return (g.w-1)*g.h + g.w*(g.h-1) }
+func (g *grid) numEdges() int { return (g.w-1)*g.h + g.w*(g.h-1) }
 
 // edgeBetween returns the edge id between two adjacent nodes.
-func (g grid) edgeBetween(a, b int) edgeID {
+func (g *grid) edgeBetween(a, b int) edgeID {
 	la, lb := g.loc(a), g.loc(b)
 	if la.Y == lb.Y { // horizontal
 		x := la.X
@@ -89,7 +116,7 @@ func (g grid) edgeBetween(a, b int) edgeID {
 }
 
 // neighbors appends the orthogonal neighbors of node n to buf.
-func (g grid) neighbors(n int, buf []int) []int {
+func (g *grid) neighbors(n int, buf []int) []int {
 	l := g.loc(n)
 	if l.X > 0 {
 		buf = append(buf, n-1)
@@ -147,24 +174,21 @@ func (r *Result) sinkLoc(s Sink) place.Loc {
 	return r.P.Cells[s.Cell]
 }
 
-// pqItem is a priority-queue entry for Dijkstra.
-type pqItem struct {
-	node int
-	cost float64
-}
-
 // routeScratch holds every buffer shortestPath needs, so the thousands of
 // per-net searches a negotiation run performs share one set of
 // allocations. Visited state is generation-stamped instead of cleared:
 // bumping gen invalidates dist/prev/done for all nodes in O(1).
 type routeScratch struct {
-	dist    []float64
-	prev    []int
-	seenGen []uint32 // seenGen[n] == gen: dist/prev valid this search
-	doneGen []uint32 // doneGen[n] == gen: node settled this search
-	gen     uint32
-	heap    []pqItem // manual binary min-heap (container/heap boxes items)
-	path    []int
+	dist     []float64
+	prev     []int
+	prevEdge []int32  // edge from prev[n] to n
+	seenGen  []uint32 // seenGen[n] == gen: dist/prev valid this search
+	doneGen  []uint32 // doneGen[n] == gen: node settled this search
+	gen      uint32
+	hcost    []float64 // manual binary min-heap of (cost, node), one
+	hnode    []int32   // slice per field so sift-down scans only costs
+	path     []int
+	edges    []int32
 }
 
 func newRouteScratch(nodes int) *routeScratch {
@@ -180,6 +204,7 @@ func (s *routeScratch) ensure(n int) {
 	}
 	s.dist = make([]float64, n)
 	s.prev = make([]int, n)
+	s.prevEdge = make([]int32, n)
 	s.seenGen = make([]uint32, n)
 	s.doneGen = make([]uint32, n)
 	s.gen = 0
@@ -197,41 +222,94 @@ func (s *routeScratch) nextGen() {
 	}
 }
 
-func (s *routeScratch) hpush(it pqItem) {
-	s.heap = append(s.heap, it)
-	i := len(s.heap) - 1
+// hpush and hpop move a hole instead of swapping, and leave the heap in
+// exactly the state a swap-based binary heap would, so equal-cost entries
+// pop in the same order. hpop moves the hole down the smaller-child path
+// to a leaf and then raises the last entry back up to where a swapping
+// sift-down would have stopped: the path is nondecreasing, so that is
+// below every path entry smaller than it and above every other.
+func (s *routeScratch) hpush(node int32, cost float64) {
+	s.hcost = append(s.hcost, cost)
+	s.hnode = append(s.hnode, node)
+	hc, hn := s.hcost, s.hnode[:len(s.hcost)]
+	i := len(hc) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if s.heap[parent].cost <= s.heap[i].cost {
+		if hc[parent] <= cost {
 			break
 		}
-		s.heap[parent], s.heap[i] = s.heap[i], s.heap[parent]
+		hc[i], hn[i] = hc[parent], hn[parent]
 		i = parent
 	}
+	hc[i], hn[i] = cost, node
 }
 
-func (s *routeScratch) hpop() pqItem {
-	top := s.heap[0]
-	last := len(s.heap) - 1
-	s.heap[0] = s.heap[last]
-	s.heap = s.heap[:last]
+func (s *routeScratch) hpop() (int32, float64) {
+	hc, hn := s.hcost, s.hnode[:len(s.hcost)]
+	topNode, topCost := hn[0], hc[0]
+	last := len(hc) - 1
+	x, xn := hc[last], hn[last]
+	s.hcost, s.hnode = hc[:last], hn[:last]
+	if last == 0 {
+		return topNode, topCost
+	}
+	// The vacated slot becomes an infinite sentinel, so a left child at
+	// last-1 can be compared with its "right sibling" unconditionally.
+	hc[last] = math.Inf(1)
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < last && s.heap[l].cost < s.heap[min].cost {
-			min = l
-		}
-		if r < last && s.heap[r].cost < s.heap[min].cost {
-			min = r
-		}
-		if min == i {
+		l := 2*i + 1
+		if l >= last {
 			break
 		}
-		s.heap[i], s.heap[min] = s.heap[min], s.heap[i]
-		i = min
+		l += b2i(hc[l+1] < hc[l])
+		hc[i], hn[i] = hc[l], hn[l]
+		i = l
 	}
-	return top
+	for i > 0 {
+		parent := (i - 1) / 2
+		if hc[parent] < x {
+			break
+		}
+		hc[i], hn[i] = hc[parent], hn[parent]
+		i = parent
+	}
+	hc[i], hn[i] = x, xn
+	return topNode, topCost
+}
+
+// b2i compiles to a flag set rather than a branch, which keeps hpop's
+// child choice free of mispredictions on tied or random costs.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// negotiation is the PathFinder congestion state of one Route call. cost
+// holds every edge's current search cost; refresh must run for an edge
+// whenever its occ or inNet changes, and for every edge when presFac or
+// hist changes, so cost always equals what the formula gives now.
+type negotiation struct {
+	tracks  int
+	presFac float64   // present-congestion factor, grown every iteration
+	occ     []int     // present occupancy
+	hist    []float64 // history cost
+	inNet   []bool    // edges already carried by the net being routed
+	cost    []float64
+}
+
+func (ng *negotiation) refresh(e int32) {
+	if ng.inNet[e] {
+		ng.cost[e] = 1e-4 // already carried by this net: reuse freely
+		return
+	}
+	over := float64(ng.occ[e] + 1 - ng.tracks)
+	if over < 0 {
+		over = 0
+	}
+	ng.cost[e] = (1 + ng.hist[e]) * (1 + over*ng.presFac)
 }
 
 // Route produces a legal routing of p against the given channel capacity.
@@ -243,7 +321,7 @@ func Route(p *place.Placement, tracks int, opt Options) (*Result, error) {
 	if maxIter <= 0 {
 		maxIter = 40
 	}
-	g := grid{w: p.W, h: p.H}
+	g := newGrid(p.W, p.H)
 	res := &Result{P: p, Tracks: tracks, Conns: connections(p)}
 
 	// Group connections into nets by driving signal: a net's fanout shares
@@ -259,32 +337,25 @@ func Route(p *place.Placement, tracks int, opt Options) (*Result, error) {
 		netOf[s] = append(netOf[s], i)
 	}
 
-	occ := make([]int, g.numEdges())      // present occupancy
-	hist := make([]float64, g.numEdges()) // history cost
-	paths := make([][]int, len(res.Conns))
-	inNet := make([]bool, g.numEdges()) // scratch: edges already in current net
-
-	presFac := 0.5
-	scratch := newRouteScratch(g.nodes())
-	// One cost closure for the whole negotiation: it reads presFac and the
-	// occupancy arrays by reference, so allocating it per connection (as a
-	// literal in the loop would) is pure garbage-collector churn.
-	cost := func(e edgeID) float64 {
-		if inNet[e] {
-			return 1e-4 // already carried by this net: reuse freely
-		}
-		over := float64(occ[e] + 1 - tracks)
-		if over < 0 {
-			over = 0
-		}
-		return (1 + hist[e]) * (1 + over*presFac)
+	ng := &negotiation{
+		tracks:  tracks,
+		presFac: 0.5,
+		occ:     make([]int, g.numEdges()),
+		hist:    make([]float64, g.numEdges()),
+		inNet:   make([]bool, g.numEdges()),
+		cost:    make([]float64, g.numEdges()),
 	}
-	var netEdges []edgeID
+	paths := make([][]int, len(res.Conns))
+	scratch := newRouteScratch(g.nodes())
+	var netEdges []int32
 	for iter := 1; iter <= maxIter; iter++ {
 		res.Iterations = iter
 		// Rip up everything and re-route in order with current costs.
-		for i := range occ {
-			occ[i] = 0
+		for i := range ng.occ {
+			ng.occ[i] = 0
+		}
+		for e := range ng.cost {
+			ng.refresh(int32(e))
 		}
 		for _, src := range netOrder {
 			conns := netOf[src]
@@ -292,30 +363,31 @@ func Route(p *place.Placement, tracks int, opt Options) (*Result, error) {
 			for _, i := range conns {
 				c := &res.Conns[i]
 				from, to := g.node(res.srcLoc(c.Src)), g.node(res.sinkLoc(c.Sink))
-				path := scratch.shortestPath(g, from, to, cost)
+				path, edges := scratch.shortestPath(g, ng.cost, from, to)
 				paths[i] = append(paths[i][:0], path...)
-				for k := 0; k+1 < len(path); k++ {
-					e := g.edgeBetween(path[k], path[k+1])
-					if !inNet[e] {
-						inNet[e] = true
+				for _, e := range edges {
+					if !ng.inNet[e] {
+						ng.inNet[e] = true
 						netEdges = append(netEdges, e)
-						occ[e]++
+						ng.occ[e]++
+						ng.refresh(e)
 					}
 				}
 			}
 			for _, e := range netEdges {
-				inNet[e] = false
+				ng.inNet[e] = false
+				ng.refresh(e)
 			}
 		}
 		// Check for overuse.
 		maxUse, over := 0, false
-		for e, u := range occ {
+		for e, u := range ng.occ {
 			if u > maxUse {
 				maxUse = u
 			}
 			if u > tracks {
 				over = true
-				hist[e] += float64(u - tracks)
+				ng.hist[e] += float64(u - tracks)
 			}
 		}
 		res.MaxUse = maxUse
@@ -330,65 +402,69 @@ func Route(p *place.Placement, tracks int, opt Options) (*Result, error) {
 			}
 			return res, nil
 		}
-		presFac *= 1.6
+		ng.presFac *= 1.6
 	}
 	return nil, fmt.Errorf("route: %s unroutable in %dx%d with %d tracks after %d iterations (max use %d)",
 		p.Mapped.Name, p.W, p.H, tracks, maxIter, res.MaxUse)
 }
 
-// shortestPath runs Dijkstra over the grid with the given edge cost. The
-// returned slice aliases the scratch buffer and is valid only until the
-// next call; callers that keep a path must copy it. Beyond amortized
-// buffer growth the search allocates nothing.
-func (s *routeScratch) shortestPath(g grid, from, to int, cost func(edgeID) float64) []int {
+// shortestPath runs Dijkstra over g with cost[e] the cost of edge e. It
+// returns the path's nodes, from first, and the edges between them in the
+// same order. Both slices alias the scratch buffers and are valid only
+// until the next call, so callers that keep a path must copy it. Beyond
+// amortized buffer growth the search allocates nothing.
+func (s *routeScratch) shortestPath(g *grid, cost []float64, from, to int) ([]int, []int32) {
 	s.path = s.path[:0]
+	s.edges = s.edges[:0]
 	if from == to {
 		s.path = append(s.path, from)
-		return s.path
+		return s.path, s.edges
 	}
 	s.ensure(g.nodes())
 	s.nextGen()
-	s.heap = s.heap[:0]
+	gen := s.gen
+	s.hcost, s.hnode = s.hcost[:0], s.hnode[:0]
 	s.dist[from] = 0
-	s.prev[from] = -1
-	s.seenGen[from] = s.gen
-	s.hpush(pqItem{node: from})
-	var nbuf [4]int
-	for len(s.heap) > 0 {
-		it := s.hpop()
-		if s.doneGen[it.node] == s.gen {
+	s.seenGen[from] = gen
+	s.hpush(int32(from), 0)
+	for len(s.hcost) > 0 {
+		node, dist := s.hpop()
+		if s.doneGen[node] == gen {
 			continue
 		}
-		s.doneGen[it.node] = s.gen
-		if it.node == to {
+		s.doneGen[node] = gen
+		if int(node) == to {
 			break
 		}
-		for _, nb := range g.neighbors(it.node, nbuf[:0]) {
-			if s.doneGen[nb] == s.gen {
+		for _, a := range &g.adj[node] {
+			if a.to < 0 {
+				break
+			}
+			nb := int(a.to)
+			if s.doneGen[nb] == gen {
 				continue
 			}
-			c := it.cost + cost(g.edgeBetween(it.node, nb))
-			if s.seenGen[nb] != s.gen || c < s.dist[nb] {
-				s.seenGen[nb] = s.gen
+			c := dist + cost[a.edge]
+			if s.seenGen[nb] != gen || c < s.dist[nb] {
+				s.seenGen[nb] = gen
 				s.dist[nb] = c
-				s.prev[nb] = it.node
-				s.hpush(pqItem{node: nb, cost: c})
+				s.prev[nb] = int(node)
+				s.prevEdge[nb] = a.edge
+				s.hpush(a.to, c)
 			}
 		}
 	}
-	if s.doneGen[to] != s.gen {
+	if s.doneGen[to] != gen {
 		panic("route: grid is connected; unreachable node")
 	}
-	for n := to; n != -1; n = s.prev[n] {
+	for n := to; n != from; n = s.prev[n] {
 		s.path = append(s.path, n)
-		if n == from {
-			break
-		}
+		s.edges = append(s.edges, s.prevEdge[n])
 	}
-	for i, j := 0, len(s.path)-1; i < j; i, j = i+1, j-1 {
-		s.path[i], s.path[j] = s.path[j], s.path[i]
-	}
-	return s.path
+	s.path = append(s.path, from)
+	slices.Reverse(s.path)
+	slices.Reverse(s.edges)
+	return s.path, s.edges
 }
 
 // CriticalPath returns the longest combinational delay through the routed

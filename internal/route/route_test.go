@@ -170,14 +170,15 @@ func TestCriticalPathSequentialBounded(t *testing.T) {
 }
 
 func TestGridEdgeIndexing(t *testing.T) {
-	g := grid{w: 4, h: 3}
+	g := newGrid(4, 3)
 	if g.numEdges() != (4-1)*3+4*(3-1) {
 		t.Fatalf("numEdges = %d", g.numEdges())
 	}
 	seen := map[edgeID]bool{}
 	for n := 0; n < g.nodes(); n++ {
 		var buf [4]int
-		for _, nb := range g.neighbors(n, buf[:0]) {
+		nbs := g.neighbors(n, buf[:0])
+		for k, nb := range nbs {
 			e := g.edgeBetween(n, nb)
 			if e < 0 || int(e) >= g.numEdges() {
 				t.Fatalf("edge id %d out of range", e)
@@ -185,7 +186,15 @@ func TestGridEdgeIndexing(t *testing.T) {
 			if g.edgeBetween(nb, n) != e {
 				t.Fatal("edge id not symmetric")
 			}
+			if a := g.adj[n][k]; int(a.to) != nb || edgeID(a.edge) != e {
+				t.Fatalf("adjacency row %d entry %d = %+v, want {%d %d}", n, k, a, nb, e)
+			}
 			seen[e] = true
+		}
+		for k := len(nbs); k < 4; k++ {
+			if g.adj[n][k].to >= 0 {
+				t.Fatalf("adjacency row %d has extra entry %d", n, k)
+			}
 		}
 	}
 	if len(seen) != g.numEdges() {
@@ -193,59 +202,77 @@ func TestGridEdgeIndexing(t *testing.T) {
 	}
 }
 
-func TestShortestPathStraightLine(t *testing.T) {
-	g := grid{w: 5, h: 5}
-	s := newRouteScratch(g.nodes())
-	path := s.shortestPath(g, g.node(place.Loc{X: 0, Y: 2}), g.node(place.Loc{X: 4, Y: 2}),
-		func(edgeID) float64 { return 1 })
-	if len(path) != 5 {
-		t.Fatalf("path length %d, want 5", len(path))
+// uniformCost returns a cost slice giving every edge of g cost 1.
+func uniformCost(g *grid) []float64 {
+	cost := make([]float64, g.numEdges())
+	for i := range cost {
+		cost[i] = 1
+	}
+	return cost
+}
+
+// checkEdges fails unless edges are exactly the edges between
+// consecutive nodes of path.
+func checkEdges(t *testing.T, g *grid, path []int, edges []int32) {
+	t.Helper()
+	if len(edges) != len(path)-1 {
+		t.Fatalf("%d edges for a %d-node path", len(edges), len(path))
+	}
+	for k, e := range edges {
+		if want := g.edgeBetween(path[k], path[k+1]); edgeID(e) != want {
+			t.Fatalf("edge %d = %d, want %d", k, e, want)
+		}
 	}
 }
 
-func TestShortestPathSameNode(t *testing.T) {
-	g := grid{w: 3, h: 3}
+func TestShortestPathStraightLine(t *testing.T) {
+	g := newGrid(5, 5)
 	s := newRouteScratch(g.nodes())
-	path := s.shortestPath(g, 4, 4, func(edgeID) float64 { return 1 })
-	if len(path) != 1 || path[0] != 4 {
-		t.Fatalf("self path = %v", path)
+	path, edges := s.shortestPath(g, uniformCost(g), g.node(place.Loc{X: 0, Y: 2}), g.node(place.Loc{X: 4, Y: 2}))
+	if len(path) != 5 {
+		t.Fatalf("path length %d, want 5", len(path))
+	}
+	checkEdges(t, g, path, edges)
+}
+
+func TestShortestPathSameNode(t *testing.T) {
+	g := newGrid(3, 3)
+	s := newRouteScratch(g.nodes())
+	path, edges := s.shortestPath(g, uniformCost(g), 4, 4)
+	if len(path) != 1 || path[0] != 4 || len(edges) != 0 {
+		t.Fatalf("self path = %v, edges %v", path, edges)
 	}
 }
 
 func TestShortestPathAvoidsExpensiveEdges(t *testing.T) {
 	// Make the direct row expensive; the path should detour.
-	g := grid{w: 3, h: 2}
-	direct := g.edgeBetween(g.node(place.Loc{X: 0, Y: 0}), g.node(place.Loc{X: 1, Y: 0}))
+	g := newGrid(3, 2)
+	cost := uniformCost(g)
+	cost[g.edgeBetween(g.node(place.Loc{X: 0, Y: 0}), g.node(place.Loc{X: 1, Y: 0}))] = 100
 	s := newRouteScratch(g.nodes())
-	path := s.shortestPath(g, g.node(place.Loc{X: 0, Y: 0}), g.node(place.Loc{X: 2, Y: 0}),
-		func(e edgeID) float64 {
-			if e == direct {
-				return 100
-			}
-			return 1
-		})
+	path, edges := s.shortestPath(g, cost, g.node(place.Loc{X: 0, Y: 0}), g.node(place.Loc{X: 2, Y: 0}))
 	if len(path) != 5 { // detour via row 1
 		t.Fatalf("expected detour of 4 hops, got path %v", path)
 	}
+	checkEdges(t, g, path, edges)
 }
 
 // TestShortestPathScratchReuse checks that a reused scratch returns the
 // same paths as a fresh one: generation stamping must fully invalidate
 // earlier searches, including ones over a different cost field.
 func TestShortestPathScratchReuse(t *testing.T) {
-	g := grid{w: 7, h: 5}
+	g := newGrid(7, 5)
 	reused := newRouteScratch(g.nodes())
 	src := rng.New(42)
-	costs := make([]float64, g.numEdges())
+	cost := make([]float64, g.numEdges())
 	for trial := 0; trial < 50; trial++ {
-		for i := range costs {
-			costs[i] = 0.1 + src.Float64()
+		for i := range cost {
+			cost[i] = 0.1 + src.Float64()
 		}
-		cost := func(e edgeID) float64 { return costs[e] }
 		from := src.Intn(g.nodes())
 		to := src.Intn(g.nodes())
-		got := reused.shortestPath(g, from, to, cost)
-		want := newRouteScratch(g.nodes()).shortestPath(g, from, to, cost)
+		got, gotEdges := reused.shortestPath(g, cost, from, to)
+		want, _ := newRouteScratch(g.nodes()).shortestPath(g, cost, from, to)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: path length %d != fresh %d", trial, len(got), len(want))
 		}
@@ -254,21 +281,109 @@ func TestShortestPathScratchReuse(t *testing.T) {
 				t.Fatalf("trial %d: path diverges at hop %d: %v vs %v", trial, k, got, want)
 			}
 		}
+		checkEdges(t, g, got, gotEdges)
 	}
 }
 
-// BenchmarkRouteShortestPath locks in the allocation win: after warmup a
-// search must not allocate (the scratch owns every buffer).
-func BenchmarkRouteShortestPath(b *testing.B) {
-	g := grid{w: 32, h: 16}
+// swapHeap is the textbook swap-based binary min-heap the router's
+// hole-moving heap must match pop for pop, ties included.
+type swapHeap []struct {
+	node int32
+	cost float64
+}
+
+func (h *swapHeap) push(node int32, cost float64) {
+	*h = append(*h, struct {
+		node int32
+		cost float64
+	}{node, cost})
+	a := *h
+	for i := len(a) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if a[parent].cost <= a[i].cost {
+			break
+		}
+		a[parent], a[i] = a[i], a[parent]
+		i = parent
+	}
+}
+
+func (h *swapHeap) pop() (int32, float64) {
+	a := *h
+	top := a[0]
+	last := len(a) - 1
+	a[0] = a[last]
+	a = a[:last]
+	*h = a
+	for i := 0; ; {
+		l, r := 2*i+1, 2*i+2
+		min := i
+		if l < last && a[l].cost < a[min].cost {
+			min = l
+		}
+		if r < last && a[r].cost < a[min].cost {
+			min = r
+		}
+		if min == i {
+			break
+		}
+		a[i], a[min] = a[min], a[i]
+		i = min
+	}
+	return top.node, top.cost
+}
+
+// TestHeapMatchesSwapHeap drives the router's heap and the reference
+// with the same random pushes and pops over a handful of distinct costs,
+// so most entries tie, and requires identical pop sequences.
+func TestHeapMatchesSwapHeap(t *testing.T) {
+	src := rng.New(7)
+	s := newRouteScratch(1)
+	var ref swapHeap
+	for op := 0; op < 20000; op++ {
+		if len(ref) == 0 || src.Intn(5) < 3 {
+			node, cost := int32(op), float64(src.Intn(6))*0.5
+			s.hpush(node, cost)
+			ref.push(node, cost)
+			continue
+		}
+		gn, gc := s.hpop()
+		wn, wc := ref.pop()
+		if gn != wn || gc != wc {
+			t.Fatalf("op %d: popped (%d, %v), reference (%d, %v)", op, gn, gc, wn, wc)
+		}
+	}
+}
+
+// TestShortestPathNoAllocs gates the allocation win: after warmup a
+// search allocates nothing (the scratch owns every buffer).
+func TestShortestPathNoAllocs(t *testing.T) {
+	g := newGrid(32, 16)
 	s := newRouteScratch(g.nodes())
-	cost := func(e edgeID) float64 { return 1 + float64(e%7)*0.25 }
+	cost := make([]float64, g.numEdges())
+	for e := range cost {
+		cost[e] = 1 + float64(e%7)*0.25
+	}
 	from, to := 0, g.nodes()-1
-	s.shortestPath(g, from, to, cost) // warm the scratch buffers
+	s.shortestPath(g, cost, from, to) // warm the scratch buffers
+	if n := testing.AllocsPerRun(20, func() { s.shortestPath(g, cost, from, to) }); n != 0 {
+		t.Fatalf("warmed shortestPath allocates %v times per search, want 0", n)
+	}
+}
+
+func BenchmarkRouteShortestPath(b *testing.B) {
+	g := newGrid(32, 16)
+	s := newRouteScratch(g.nodes())
+	cost := make([]float64, g.numEdges())
+	for e := range cost {
+		cost[e] = 1 + float64(e%7)*0.25
+	}
+	from, to := 0, g.nodes()-1
+	s.shortestPath(g, cost, from, to) // warm the scratch buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.shortestPath(g, from, to, cost)
+		s.shortestPath(g, cost, from, to)
 	}
 }
 
